@@ -6,12 +6,6 @@ namespace valcon::bcast {
 
 namespace {
 
-crypto::Hash content_digest(const ReliableBroadcast::Content& content) {
-  crypto::Hasher h("valcon/brb-content");
-  h.add_bytes(content);
-  return h.finish();
-}
-
 // Domain for the aggregate-mode echo votes. Binding the designated sender
 // in keeps a certificate from one BRB instance from being replayed into
 // another instance that happens to carry the same content.
@@ -20,6 +14,12 @@ crypto::Hash echo_vote_digest(ProcessId sender, const crypto::Hash& content) {
 }
 
 }  // namespace
+
+crypto::Hash ReliableBroadcast::content_digest(const Content& content) {
+  crypto::Hasher h("valcon/brb-content");
+  h.add_bytes(content);
+  return h.finish();
+}
 
 void ReliableBroadcast::broadcast(sim::Context& ctx, Content content) {
   ctx.broadcast(sim::make_payload<Msg>(Msg::Kind::kSend, std::move(content),
@@ -49,13 +49,13 @@ void ReliableBroadcast::on_message(sim::Context& ctx, ProcessId from,
   }
   const auto* msg = dynamic_cast<const Msg*>(m.get());
   if (msg == nullptr) return;
-  const crypto::Hash digest = content_digest(msg->content);
+  const crypto::Hash& digest = msg->digest;
 
   switch (msg->kind) {
     case Msg::Kind::kSend:
       if (from != sender_ || echoed_) return;
       echoed_ = true;
-      contents_.emplace(digest, msg->content);
+      contents_.try_emplace(digest, msg->content);
       if (cert_mode_ == core::CertMode::kAggregate) {
         // Batched votes: one signed echo to the sender instead of an
         // all-to-all ECHO broadcast. The sender contributes its own vote
@@ -73,16 +73,16 @@ void ReliableBroadcast::on_message(sim::Context& ctx, ProcessId from,
         }
         return;
       }
-      ctx.broadcast(sim::make_payload<Msg>(Msg::Kind::kEcho, msg->content,
+      ctx.broadcast(sim::make_payload<Msg>(Msg::Kind::kEcho, *msg,
                                            content_words_));
       break;
     case Msg::Kind::kEcho:
       if (cert_mode_ == core::CertMode::kAggregate) return;
-      contents_.emplace(digest, msg->content);
+      contents_.try_emplace(digest, msg->content);
       echoes_[digest].insert(from);
       break;
     case Msg::Kind::kReady:
-      contents_.emplace(digest, msg->content);
+      contents_.try_emplace(digest, msg->content);
       readies_[digest].insert(from);
       break;
   }
@@ -113,7 +113,7 @@ void ReliableBroadcast::on_echo_cert(sim::Context& ctx,
   if (qc.agg.digest != echo_vote_digest(sender_, digest)) return;
   if (qc.voters.count() < core::brb_echo_quorum(ctx.n(), ctx.t())) return;
   if (!ctx.keys().verify_aggregate(qc.voters, qc.agg)) return;
-  contents_.emplace(digest, qc.body);
+  contents_.try_emplace(digest, qc.body);
   std::set<ProcessId>& echo_set = echoes_[digest];
   for (ProcessId p = 0; p < ctx.n(); ++p) {
     if (qc.voters.test(p)) echo_set.insert(p);

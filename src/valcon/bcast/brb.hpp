@@ -52,6 +52,9 @@ class ReliableBroadcast final : public sim::Component {
         content_words_(content_words),
         cert_mode_(cert_mode) {}
 
+  /// The digest under which BRB tallies a content.
+  [[nodiscard]] static crypto::Hash content_digest(const Content& content);
+
   /// Invoked by the designated sender to broadcast `content`.
   void broadcast(sim::Context& ctx, Content content);
 
@@ -60,14 +63,25 @@ class ReliableBroadcast final : public sim::Component {
 
   [[nodiscard]] bool delivered() const { return delivered_; }
 
- private:
+  /// SEND, ECHO and READY. Carries its content's digest, so receivers
+  /// tally without re-hashing.
   // One class interns three metric names (brb/send, brb/echo, brb/ready)
   // switched on `kind`; VALCON_PAYLOAD_TYPE can only declare a single name.
   // valcon-lint: allow(payload-type) -- multi-name payload, interns per kind
   struct Msg final : sim::Payload {
     enum class Kind { kSend, kEcho, kReady };
     Msg(Kind kind_in, Content content_in, std::size_t words)
-        : kind(kind_in), content(std::move(content_in)), words_(words) {}
+        : kind(kind_in),
+          content(std::move(content_in)),
+          digest(content_digest(content)),
+          words_(words) {}
+    /// The source's content under another kind, with the source's digest,
+    /// which was computed from this very content.
+    Msg(Kind kind_in, const Msg& source, std::size_t words)
+        : kind(kind_in),
+          content(source.content),
+          digest(source.digest),
+          words_(words) {}
     [[nodiscard]] const char* type_name() const override {
       switch (kind) {
         case Kind::kSend: return "brb/send";
@@ -84,11 +98,13 @@ class ReliableBroadcast final : public sim::Component {
       return ids[static_cast<std::size_t>(kind)];
     }
     [[nodiscard]] std::size_t size_words() const override { return words_; }
-    Kind kind;
-    Content content;
-    std::size_t words_;
+    const Kind kind;
+    const Content content;
+    const crypto::Hash digest;  // content_digest(content)
+    const std::size_t words_;
   };
 
+ private:
   /// One signed echo-vote, sent point-to-point to the designated sender in
   /// aggregate mode instead of the all-to-all ECHO broadcast.
   struct MEchoSig final : sim::Payload {

@@ -10,14 +10,25 @@ crypto::Hash proposal_digest(ProcessId proposer, Value v) {
   return h.finish();
 }
 
+VectorQuadProposal::VectorQuadProposal(core::InputConfig vec,
+                                       std::vector<crypto::Signature> proofs)
+    : vector_(std::move(vec)),
+      proofs_(std::move(proofs)),
+      digest_(vector_.digest()) {
+  entry_digests_.reserve(static_cast<std::size_t>(vector_.count()));
+  for (ProcessId p = 0; p < vector_.n(); ++p) {
+    if (const std::optional<Value>& v = vector_.at(p)) {
+      entry_digests_.emplace_back(p, proposal_digest(p, *v));
+    }
+  }
+}
+
 bool VectorQuadProposal::verify(const crypto::KeyRegistry& keys, int n,
                                 int t) const {
   if (vector_.n() != n || vector_.count() != core::quorum_n_minus_t(n, t)) {
     return false;
   }
-  for (const ProcessId p : vector_.processes()) {
-    const Value v = *vector_.at(p);
-    const crypto::Hash expected = proposal_digest(p, v);
+  for (const auto& [p, expected] : entry_digests_) {
     bool found = false;
     for (const crypto::Signature& sig : proofs_) {
       if (sig.signer == p && sig.digest == expected && keys.verify(sig)) {
@@ -29,14 +40,6 @@ bool VectorQuadProposal::verify(const crypto::KeyRegistry& keys, int n,
   }
   return true;
 }
-
-struct AuthVectorConsensus::MProposal final : sim::Payload {
-  MProposal(Value v, crypto::Signature s) : value(v), sig(s) {}
-  VALCON_PAYLOAD_TYPE("avc/proposal")
-  [[nodiscard]] std::size_t size_words() const override { return 2; }
-  Value value;
-  crypto::Signature sig;
-};
 
 AuthVectorConsensus::AuthVectorConsensus(Quad::Options quad_options) {
   quad_ = &make_child<Quad>(
@@ -71,8 +74,7 @@ void AuthVectorConsensus::own_message(sim::Context& ctx, ProcessId from,
   // Accept only properly signed proposals from their claimed sender, and
   // stop counting at n-t (Algorithm 1, line 10).
   if (proposed_to_quad_) return;
-  if (msg->sig.signer != from ||
-      msg->sig.digest != proposal_digest(from, msg->value) ||
+  if (msg->sig.signer != from || msg->sig.digest != msg->digest ||
       !ctx.keys().verify(msg->sig)) {
     return;
   }

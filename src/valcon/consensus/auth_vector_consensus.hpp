@@ -12,6 +12,7 @@
 #pragma once
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "valcon/consensus/quad.hpp"
@@ -22,21 +23,27 @@ namespace valcon::consensus {
 /// The (vector, Sigma) value-proof pair proposed to Quad.
 class VectorQuadProposal final : public QuadProposal {
  public:
+  /// Computes the vector's digest and one proposal_digest per entry here,
+  /// once, instead of in every digest() and verify() call.
   VectorQuadProposal(core::InputConfig vec,
-                     std::vector<crypto::Signature> proofs)
-      : vector_(std::move(vec)), proofs_(std::move(proofs)) {}
+                     std::vector<crypto::Signature> proofs);
 
   [[nodiscard]] const core::InputConfig& vector() const { return vector_; }
   [[nodiscard]] const std::vector<crypto::Signature>& proofs() const {
     return proofs_;
   }
 
-  [[nodiscard]] crypto::Hash digest() const override {
-    return vector_.digest();
-  }
+  [[nodiscard]] crypto::Hash digest() const override { return digest_; }
   [[nodiscard]] std::size_t size_words() const override {
     // The vector (one word per pair) plus Sigma (one word per signature).
     return static_cast<std::size_t>(vector_.count()) + proofs_.size();
+  }
+
+  /// (p, proposal_digest(p, vector()[p])) for each p in
+  /// vector().processes(), in that order.
+  [[nodiscard]] const std::vector<std::pair<ProcessId, crypto::Hash>>&
+  entry_digests() const {
+    return entry_digests_;
   }
 
   /// verify(vector, Sigma): every pair carries a valid signed proposal, and
@@ -47,11 +54,25 @@ class VectorQuadProposal final : public QuadProposal {
  private:
   core::InputConfig vector_;
   std::vector<crypto::Signature> proofs_;
+  crypto::Hash digest_;
+  std::vector<std::pair<ProcessId, crypto::Hash>> entry_digests_;
 };
 
 class AuthVectorConsensus final : public VectorConsensus {
  public:
   explicit AuthVectorConsensus(Quad::Options quad_options = {});
+
+  /// <PROPOSAL, v>, signed. Carries proposal_digest(sig.signer, value), so
+  /// receivers check the signed digest without re-hashing.
+  struct MProposal final : sim::Payload {
+    MProposal(Value v, crypto::Signature s)
+        : value(v), sig(s), digest(proposal_digest(s.signer, v)) {}
+    VALCON_PAYLOAD_TYPE("avc/proposal")
+    [[nodiscard]] std::size_t size_words() const override { return 2; }
+    const Value value;
+    const crypto::Signature sig;
+    const crypto::Hash digest;
+  };
 
  protected:
   void own_start(sim::Context& ctx) override;
@@ -59,8 +80,6 @@ class AuthVectorConsensus final : public VectorConsensus {
                    const sim::PayloadPtr& m) override;
 
  private:
-  struct MProposal;
-
   Quad* quad_ = nullptr;
   std::map<ProcessId, std::pair<Value, crypto::Signature>> proposals_;
   bool proposed_to_quad_ = false;

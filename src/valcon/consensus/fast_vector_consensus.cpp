@@ -5,14 +5,6 @@
 
 namespace valcon::consensus {
 
-struct FastVectorConsensus::MProposal final : sim::Payload {
-  MProposal(Value v, crypto::Signature s) : value(v), sig(s) {}
-  VALCON_PAYLOAD_TYPE("fvc/proposal")
-  [[nodiscard]] std::size_t size_words() const override { return 2; }
-  Value value;
-  crypto::Signature sig;
-};
-
 FastVectorConsensus::FastVectorConsensus(Quad::Options quad_options) {
   disseminator_ = &make_child<VectorDissemination>(
       [this](sim::Context& cctx, const crypto::Hash& h,
@@ -51,8 +43,7 @@ void FastVectorConsensus::own_message(sim::Context& ctx, ProcessId from,
   if (msg == nullptr || disseminated_) return;
   const int n = ctx.n();
   const int t = ctx.t();
-  if (msg->sig.signer != from ||
-      msg->sig.digest != proposal_digest(from, msg->value) ||
+  if (msg->sig.signer != from || msg->sig.digest != msg->digest ||
       !ctx.keys().verify(msg->sig)) {
     return;
   }

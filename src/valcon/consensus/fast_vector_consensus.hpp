@@ -29,28 +29,42 @@ namespace valcon::consensus {
 class HashQuadProposal final : public QuadProposal {
  public:
   HashQuadProposal(crypto::Hash h, crypto::ThresholdSignature tsig)
-      : hash_(h), tsig_(tsig) {}
+      : hash_(h),
+        tsig_(tsig),
+        digest_(crypto::Hasher("valcon/hash-proposal")
+                    .add(hash_)
+                    .add(tsig_.mac)
+                    .finish()) {}
 
   [[nodiscard]] const crypto::Hash& hash() const { return hash_; }
   [[nodiscard]] const crypto::ThresholdSignature& tsig() const {
     return tsig_;
   }
 
-  [[nodiscard]] crypto::Hash digest() const override {
-    crypto::Hasher h("valcon/hash-proposal");
-    h.add(hash_).add(tsig_.mac);
-    return h.finish();
-  }
+  [[nodiscard]] crypto::Hash digest() const override { return digest_; }
   [[nodiscard]] std::size_t size_words() const override { return 2; }
 
  private:
   crypto::Hash hash_;
   crypto::ThresholdSignature tsig_;
+  crypto::Hash digest_;  // computed once, at construction
 };
 
 class FastVectorConsensus final : public VectorConsensus {
  public:
   explicit FastVectorConsensus(Quad::Options quad_options = {});
+
+  /// <PROPOSAL, v>, signed. Carries proposal_digest(sig.signer, value), so
+  /// receivers check the signed digest without re-hashing.
+  struct MProposal final : sim::Payload {
+    MProposal(Value v, crypto::Signature s)
+        : value(v), sig(s), digest(proposal_digest(s.signer, v)) {}
+    VALCON_PAYLOAD_TYPE("fvc/proposal")
+    [[nodiscard]] std::size_t size_words() const override { return 2; }
+    const Value value;
+    const crypto::Signature sig;
+    const crypto::Hash digest;
+  };
 
  protected:
   void own_start(sim::Context& ctx) override;
@@ -58,8 +72,6 @@ class FastVectorConsensus final : public VectorConsensus {
                    const sim::PayloadPtr& m) override;
 
  private:
-  struct MProposal;
-
   void on_acquire(sim::Context& ctx, const crypto::Hash& h,
                   const crypto::ThresholdSignature& tsig);
   void on_quad_decide(sim::Context& ctx, const QuadProposalPtr& value);

@@ -109,11 +109,17 @@ struct Quad::MEpochCert final : sim::Payload {
 
 // ------------------------------------------------------------- digests
 
-crypto::Hash Quad::phase_digest(const char* phase, std::int64_t view,
+crypto::Hash Quad::phase_digest(Phase phase, std::int64_t view,
                                 const crypto::Hash& value) const {
-  crypto::Hasher h("valcon/quad-phase");
-  h.add(std::string_view(phase)).add(view).add(value);
-  return h.finish();
+  PhaseDigestMemo& memo = phase_memo_[static_cast<std::size_t>(phase)];
+  if (!memo.valid || memo.view != view || memo.value != value) {
+    crypto::Hasher h("valcon/quad-phase");
+    h.add(std::string_view(phase == Phase::kPrepare ? "prepare" : "commit"))
+        .add(view)
+        .add(value);
+    memo = PhaseDigestMemo{true, view, value, h.finish()};
+  }
+  return memo.digest;
 }
 
 crypto::Hash Quad::epoch_digest(std::int64_t epoch) const {
@@ -150,11 +156,13 @@ bool valid_qc(sim::Context& ctx, const QuorumCert& qc,
 }  // namespace
 
 bool Quad::valid_prepare_qc(sim::Context& ctx, const QuorumCert& qc) const {
-  return valid_qc(ctx, qc, phase_digest("prepare", qc.view, qc.value_digest));
+  return valid_qc(ctx, qc,
+                  phase_digest(Phase::kPrepare, qc.view, qc.value_digest));
 }
 
 bool Quad::valid_commit_qc(sim::Context& ctx, const QuorumCert& qc) const {
-  return valid_qc(ctx, qc, phase_digest("commit", qc.view, qc.value_digest));
+  return valid_qc(ctx, qc,
+                  phase_digest(Phase::kCommit, qc.view, qc.value_digest));
 }
 
 // ------------------------------------------------------------ lifecycle
@@ -271,7 +279,7 @@ void Quad::maybe_form_prepare_qc(sim::Context& ctx) {
   const QuadProposalPtr value = vs.pending_propose->value;
   const crypto::Hash value_digest = value->digest();
   const crypto::Hash digest =
-      phase_digest("prepare", cur_view_, value_digest);
+      phase_digest(Phase::kPrepare, cur_view_, value_digest);
   const int quorum = core::quorum_n_minus_t(n, t);
   if (vs.prepare_votes.count(digest) < quorum) return;
   QuorumCert qc;
@@ -303,7 +311,8 @@ void Quad::maybe_form_commit_qc(sim::Context& ctx) {
   if (!vs.pending_propose) return;
   const QuadProposalPtr value = vs.pending_propose->value;
   const crypto::Hash value_digest = value->digest();
-  const crypto::Hash digest = phase_digest("commit", cur_view_, value_digest);
+  const crypto::Hash digest =
+      phase_digest(Phase::kCommit, cur_view_, value_digest);
   const int quorum = core::quorum_n_minus_t(n, t);
   if (vs.commit_votes.count(digest) < quorum) return;
   QuorumCert qc;
@@ -350,7 +359,7 @@ void Quad::process_propose(sim::Context& ctx, const MPropose& msg) {
   if (!acceptable) return;
 
   vs.prepare_voted = true;
-  const crypto::Hash to_sign = phase_digest("prepare", msg.view, digest);
+  const crypto::Hash to_sign = phase_digest(Phase::kPrepare, msg.view, digest);
   ctx.send(leader_of(msg.view, ctx.n()),
            sim::make_payload<MPrepareVote>(msg.view, digest,
                                            ctx.signer().sign(to_sign)));
@@ -403,7 +412,7 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
 
   if (const auto* vote = dynamic_cast<const MPrepareVote*>(m.get())) {
     const crypto::Hash expected =
-        phase_digest("prepare", vote->view, vote->digest);
+        phase_digest(Phase::kPrepare, vote->view, vote->digest);
     if (vote->partial.signer != from || vote->partial.digest != expected) {
       return;
     }
@@ -436,8 +445,8 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
     }
     locked_ = precommit->qc;
     locked_value_ = precommit->value;
-    const crypto::Hash to_sign =
-        phase_digest("commit", precommit->view, precommit->qc.value_digest);
+    const crypto::Hash to_sign = phase_digest(Phase::kCommit, precommit->view,
+                                              precommit->qc.value_digest);
     ctx.send(leader_of(precommit->view, n),
              sim::make_payload<MCommitVote>(precommit->view,
                                             precommit->qc.value_digest,
@@ -447,7 +456,7 @@ void Quad::on_message(sim::Context& ctx, ProcessId from,
 
   if (const auto* vote = dynamic_cast<const MCommitVote*>(m.get())) {
     const crypto::Hash expected =
-        phase_digest("commit", vote->view, vote->digest);
+        phase_digest(Phase::kCommit, vote->view, vote->digest);
     if (vote->partial.signer != from || vote->partial.digest != expected) {
       return;
     }

@@ -30,6 +30,7 @@
 //   epochs after GST, hence O(n^2) messages post-GST overall.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -149,8 +150,11 @@ class Quad final : public sim::Component {
     return view / n;
   }
 
-  [[nodiscard]] crypto::Hash phase_digest(const char* phase,
-                                          std::int64_t view,
+  enum class Phase : std::uint8_t { kPrepare, kCommit };
+
+  /// The digest prepare/commit votes sign for (view, value). Every vote of
+  /// one view asks for the same digest, so the last one per phase is kept.
+  [[nodiscard]] crypto::Hash phase_digest(Phase phase, std::int64_t view,
                                           const crypto::Hash& value) const;
   [[nodiscard]] crypto::Hash epoch_digest(std::int64_t epoch) const;
   [[nodiscard]] bool valid_prepare_qc(sim::Context& ctx,
@@ -190,6 +194,15 @@ class Quad final : public sim::Component {
            std::pair<std::vector<crypto::Signature>, std::set<ProcessId>>>
       epoch_over_;
   std::int64_t highest_epoch_cert_ = -1;
+
+  struct PhaseDigestMemo {
+    bool valid = false;
+    std::int64_t view = -1;
+    crypto::Hash value;
+    crypto::Hash digest;
+  };
+  // Indexed by Phase; a cache, so phase_digest stays const.
+  mutable std::array<PhaseDigestMemo, 2> phase_memo_;
 };
 
 }  // namespace valcon::consensus

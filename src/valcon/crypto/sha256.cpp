@@ -48,10 +48,17 @@ void Sha256::update(const void* data, std::size_t len) {
 
 Sha256::Digest Sha256::digest() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
+  // The 0x80 marker, then zeros up to byte 56 of a block: when the marker
+  // leaves fewer than 8 bytes for the length, the zeros fill this block
+  // and the length goes at the end of one more.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  buffer_len_ = 56;
   std::array<std::uint8_t, 8> len_bytes;
   for (int i = 0; i < 8; ++i) {
     len_bytes[static_cast<std::size_t>(i)] =

@@ -14,6 +14,18 @@ std::uint64_t truncate(const Hash& h) {
   return out;
 }
 
+/// `compute()`, through the calling thread's MacMemo when one is installed.
+template <typename Compute>
+std::uint64_t memoized(std::uint64_t seed, int k, ProcessId signer,
+                       const Hash& digest, Compute compute) {
+  MacMemo* memo = MacMemo::current();
+  if (memo == nullptr) return compute();
+  if (const auto mac = memo->find(seed, k, signer, digest)) return *mac;
+  const std::uint64_t mac = compute();
+  memo->insert(seed, k, signer, digest, mac);
+  return mac;
+}
+
 }  // namespace
 
 VoterBitset::VoterBitset(int n) : n_(n) {
@@ -58,6 +70,49 @@ std::optional<AggregateSignature> aggregate(
   return AggregateSignature{digest, sum};
 }
 
+std::size_t MacMemo::probe(std::uint64_t seed, int k, ProcessId signer,
+                           const Hash& digest) const {
+  // Digests are uniformly distributed, so their leading bytes mixed with
+  // the rest of the key make a good slot hash.
+  const std::uint64_t h =
+      truncate(digest) ^ (seed * 0x9e3779b97f4a7c15ULL) ^
+      (static_cast<std::uint64_t>(signer) * 0xc2b2ae3d27d4eb4fULL) ^
+      static_cast<std::uint64_t>(k);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const Entry& e = slots_[i];
+    if (!e.used || (e.digest == digest && e.signer == signer &&
+                    e.seed == seed && e.k == k)) {
+      return i;
+    }
+  }
+}
+
+std::optional<std::uint64_t> MacMemo::find(std::uint64_t seed, int k,
+                                           ProcessId signer,
+                                           const Hash& digest) const {
+  if (size_ == 0) return std::nullopt;
+  const Entry& e = slots_[probe(seed, k, signer, digest)];
+  if (!e.used) return std::nullopt;
+  return e.mac;
+}
+
+void MacMemo::insert(std::uint64_t seed, int k, ProcessId signer,
+                     const Hash& digest, std::uint64_t mac) {
+  // Load factor at most 1/2 keeps probe sequences short.
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Entry> old(slots_.empty() ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    for (const Entry& e : old) {
+      if (e.used) slots_[probe(e.seed, e.k, e.signer, e.digest)] = e;
+    }
+  }
+  Entry& e = slots_[probe(seed, k, signer, digest)];
+  if (e.used) return;
+  e = Entry{digest, seed, mac, k, signer, true};
+  ++size_;
+}
+
 VerifyCounters& verify_counters() {
   thread_local VerifyCounters counters;
   return counters;
@@ -87,16 +142,20 @@ std::uint64_t KeyRegistry::secret_for(ProcessId id) const {
 }
 
 std::uint64_t KeyRegistry::mac_for(ProcessId id, const Hash& digest) const {
-  return truncate(
-      Hasher("valcon/sig").add(secret_for(id)).add(digest).finish());
+  return memoized(seed_, 0, id, digest, [&] {
+    return truncate(
+        Hasher("valcon/sig").add(secret_for(id)).add(digest).finish());
+  });
 }
 
 std::uint64_t KeyRegistry::threshold_mac(const Hash& digest) const {
-  return truncate(Hasher("valcon/tsig")
-                      .add(root_secret_)
-                      .add(static_cast<std::int64_t>(k_))
-                      .add(digest)
-                      .finish());
+  return memoized(seed_, k_, MacMemo::kThreshold, digest, [&] {
+    return truncate(Hasher("valcon/tsig")
+                        .add(root_secret_)
+                        .add(static_cast<std::int64_t>(k_))
+                        .add(digest)
+                        .finish());
+  });
 }
 
 bool KeyRegistry::verify(const Signature& sig) const {

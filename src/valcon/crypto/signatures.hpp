@@ -130,6 +130,80 @@ struct VerifyCounters {
 /// The calling thread's verify tally (monotone; consumers take deltas).
 [[nodiscard]] VerifyCounters& verify_counters();
 
+/// A run's memo of computed MACs, so each (registry, signer, digest) MAC is
+/// hashed once per run however often it is signed or checked. Entries are
+/// keyed on the inputs of the MAC itself: the registry's seed (and, for
+/// threshold MACs, its k), the signer and the digest. A registry is a pure
+/// function of (n, k, seed), so two registries sharing those inputs share
+/// MACs, and a registry freed and rebuilt at the same address can never
+/// read another's entries. The memo holds only MACs the registry itself
+/// computed: a presented signature is still compared against them, so a
+/// forgery is rejected exactly as without the memo.
+///
+/// The memo is not shared: a Simulator owns one and opens a Scope around
+/// its dispatch loop (like PayloadSlab::Scope), and KeyRegistry consults
+/// the calling thread's current memo. Outside any scope every MAC is
+/// computed directly. Per-run rather than per-registry or process-wide so
+/// that registries stay immutable across threads and a run's hash count
+/// does not depend on the runs before it.
+class MacMemo {
+ public:
+  MacMemo() = default;
+  MacMemo(const MacMemo&) = delete;
+  MacMemo& operator=(const MacMemo&) = delete;
+
+  /// Signer id under which threshold MACs are stored.
+  static constexpr ProcessId kThreshold = -1;
+
+  /// The MAC stored for the key, if any. `k` is 0 for signer MACs, which
+  /// do not depend on the threshold.
+  [[nodiscard]] std::optional<std::uint64_t> find(std::uint64_t seed, int k,
+                                                  ProcessId signer,
+                                                  const Hash& digest) const;
+  /// Stores the MAC for a key that find() did not hold.
+  void insert(std::uint64_t seed, int k, ProcessId signer, const Hash& digest,
+              std::uint64_t mac);
+
+  /// Number of MACs held.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// The calling thread's memo (nullptr outside any Scope).
+  [[nodiscard]] static MacMemo* current() { return t_current_; }
+
+  /// Binds `memo` as the calling thread's memo for the enclosing scope;
+  /// scopes nest and restore the outer memo on exit.
+  class Scope {
+   public:
+    explicit Scope(MacMemo* memo) : prev_(t_current_) { t_current_ = memo; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+    ~Scope() { t_current_ = prev_; }
+
+   private:
+    MacMemo* prev_;
+  };
+
+ private:
+  struct Entry {
+    Hash digest;
+    std::uint64_t seed = 0;
+    std::uint64_t mac = 0;
+    std::int32_t k = 0;
+    ProcessId signer = 0;
+    bool used = false;
+  };
+
+  /// Index of the key's slot, or of the empty slot where it would go.
+  /// Pre: the table is not empty.
+  [[nodiscard]] std::size_t probe(std::uint64_t seed, int k, ProcessId signer,
+                                  const Hash& digest) const;
+
+  static inline thread_local MacMemo* t_current_ = nullptr;
+
+  std::vector<Entry> slots_;  // open addressing, power-of-two size
+  std::size_t size_ = 0;
+};
+
 class Signer;
 
 /// Holds every process's signing secret plus the threshold-scheme root.

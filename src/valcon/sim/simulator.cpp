@@ -134,8 +134,9 @@ void Simulator::add_process(ProcessId id, std::unique_ptr<Process> process,
 void Simulator::mark_faulty(ProcessId id) { faulty_[checked_index(id)] = 1; }
 
 std::uint64_t Simulator::run(Time horizon) {
-  // One slab scope for the whole loop instead of one per event.
+  // One slab and memo scope for the whole loop instead of one per event.
   const PayloadSlab::Scope slab_scope(slab_.get());
+  const crypto::MacMemo::Scope memo_scope(&mac_memo_);
   std::uint64_t events = 0;
   while (step_unscoped(horizon)) ++events;
   return events;
@@ -143,8 +144,10 @@ std::uint64_t Simulator::run(Time horizon) {
 
 bool Simulator::step(Time horizon) {
   // Payloads constructed by the protocol callbacks come from this
-  // simulator's slab.
+  // simulator's slab, and the MACs they sign or check are memoized for
+  // this run.
   const PayloadSlab::Scope slab_scope(slab_.get());
+  const crypto::MacMemo::Scope memo_scope(&mac_memo_);
   return step_unscoped(horizon);
 }
 

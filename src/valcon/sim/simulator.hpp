@@ -274,8 +274,8 @@ class Simulator {
   /// Validates `id` against [0, n); throws std::out_of_range otherwise.
   [[nodiscard]] std::size_t checked_index(ProcessId id) const;
 
-  /// step() without installing the slab scope (run() installs one for
-  /// the whole loop).
+  /// step() without installing the slab and MAC-memo scopes (run()
+  /// installs them once for the whole loop).
   bool step_unscoped(Time horizon);
 
   void dispatch(const Event& event);
@@ -307,6 +307,8 @@ class Simulator {
   std::vector<std::uint64_t> free_slots_;   // recycled payload_slots_ indices
   std::uint64_t next_seq_ = 0;
   Time now_ = 0.0;
+  // MACs computed during dispatch, bound like the slab (see MacMemo).
+  crypto::MacMemo mac_memo_;
 };
 
 }  // namespace valcon::sim

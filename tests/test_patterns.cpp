@@ -210,7 +210,7 @@ TEST(NetworkProfiles, EveryProfileStillReachesConsensusUnderEveryStack) {
   const StrongValidity validity;
   std::map<std::string, Time> latency;
   for (const VcKind kind : kAllVcs) {
-    for (const std::string& name :
+    for (const char* name :
          {"uniform", "pre-gst-starve", "targeted-slow-links",
           "sampled-overlay"}) {
       SCOPED_TRACE(harness::to_string(kind) + " / " + name);
